@@ -4,7 +4,7 @@ Two halves live here:
 
 :mod:`repro.analysis.soundness`
     The plan/codegen soundness verifier — :func:`verify_plan` proves a
-    compiled plan IR (indexed, interned or generated) binding-safe,
+    compiled plan IR (interned or generated) binding-safe,
     signature-correct, injective in its packed keys and a valid
     permutation of the query body; :func:`verify_generated` structurally
     checks a generated function's AST against its plan.

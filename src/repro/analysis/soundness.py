@@ -1,17 +1,16 @@
 """Static soundness verification of compiled plans and generated code.
 
-The engine bottoms out in machine-built artifacts: cost-ordered
-:class:`~repro.engine.plan.MatchPlan` join orders, integer-compiled
-:class:`~repro.engine.interned.InternedPlan` step programs, and the
-``exec``-synthesized nested-loop functions of :mod:`repro.engine.codegen`.
+The engine bottoms out in machine-built artifacts: cost-ordered,
+integer-compiled :class:`~repro.engine.interned.InternedPlan` step
+programs and the ``exec``-synthesized nested-loop functions of
+:mod:`repro.engine.codegen`.
 Their correctness is exercised dynamically by the differential fuzz
 harness; this module adds the complementary *static* guarantee — every
 artifact can be proven well-formed before a single row is probed.
 
-:func:`verify_plan` checks a compiled plan IR (any of the three flavours)
-for
+:func:`verify_plan` checks a compiled plan IR (either flavour) for
 
-* **variable-binding safety** — every slot (or variable) a key op or
+* **variable-binding safety** — every slot a key op or
   filter reads is bound before use, by the fixed contract or an earlier
   step's fresh ops;
 * **signature/arity agreement** — each step's key/new op partition is
@@ -51,7 +50,6 @@ from typing import Iterable, Sequence
 from repro.engine.generated import GeneratedPlan
 from repro.engine.interned import InternedPlan, InternedStep
 from repro.engine.interning import ID_BITS, TermDictionary
-from repro.engine.plan import _CONST, _VAR, MatchPlan
 from repro.relational.atoms import Atom
 from repro.relational.terms import Variable
 
@@ -100,17 +98,15 @@ def verify_plan(
 ) -> list[Violation]:
     """Statically verify a compiled plan IR; returns all violations found.
 
-    *plan* may be a :class:`MatchPlan`, an :class:`InternedPlan` or a
-    :class:`GeneratedPlan`.  *source_atoms* (an atom iterable or a query
-    exposing ``body_atoms()``) and *fixed_variables* tighten the check to
-    the triple the plan was compiled for; *dictionary* enables the id and
+    *plan* may be an :class:`InternedPlan` or a :class:`GeneratedPlan`.
+    *source_atoms* (an atom iterable or a query exposing ``body_atoms()``)
+    and *fixed_variables* tighten the check to the triple the plan was
+    compiled for; *dictionary* enables the id and
     packed-key-budget checks for the integer plans (a
     :class:`GeneratedPlan` carries its own and needs neither).  With
     ``include_chains`` every already-compiled generated function is also
     AST-verified via :func:`verify_generated`.
     """
-    if isinstance(plan, MatchPlan):
-        return _verify_match_plan(plan, _dedup_atoms(source_atoms), fixed_variables)
     if isinstance(plan, GeneratedPlan):
         return _verify_generated_plan(
             plan, _dedup_atoms(source_atoms), fixed_variables, include_chains
@@ -128,132 +124,9 @@ def verify_plan(
         Violation(
             "unknown-plan",
             type(plan).__name__,
-            "not a MatchPlan, InternedPlan or GeneratedPlan",
+            "not an InternedPlan or GeneratedPlan",
         )
     ]
-
-
-def _verify_match_plan(
-    plan: MatchPlan,
-    source: tuple[Atom, ...] | None,
-    fixed_variables: Iterable[Variable] | None,
-) -> list[Violation]:
-    """The indexed IR: key sources, signatures and order over term objects."""
-    out: list[Violation] = []
-    template = plan.template
-
-    if fixed_variables is not None and frozenset(fixed_variables) != template.fixed_variables:
-        out.append(
-            Violation(
-                "fixed-mismatch",
-                "template",
-                f"compiled for fixed set {sorted(map(str, template.fixed_variables))}, "
-                f"caller expects {sorted(map(str, frozenset(fixed_variables)))}",
-            )
-        )
-
-    expected = source if source is not None else template.source_atoms
-    scheduled = tuple(step.atom for step in template.steps)
-    if len(scheduled) != len(expected) or set(scheduled) != set(expected):
-        out.append(
-            Violation(
-                "order-permutation",
-                "template",
-                f"scheduled atoms {sorted(map(str, scheduled))} are not a permutation "
-                f"of the source atoms {sorted(map(str, expected))}",
-            )
-        )
-    if source is not None and set(template.source_atoms) != set(source):
-        out.append(
-            Violation(
-                "source-mismatch",
-                "template",
-                "template source atoms differ from the query body",
-            )
-        )
-
-    bound: set[Variable] = set(template.fixed_variables)
-    for number, step in enumerate(template.steps):
-        subject = f"step {number} ({step.atom})"
-        atom = step.atom
-        if step.relation != atom.relation or step.arity != atom.arity:
-            out.append(
-                Violation("arity-mismatch", subject, "step relation/arity disagree with its atom")
-            )
-            continue
-        signature = step.signature
-        new_positions = tuple(position for position, _ in step.new_var_positions)
-        if sorted(set(signature) | set(new_positions)) != list(range(atom.arity)) or set(
-            signature
-        ) & set(new_positions):
-            out.append(
-                Violation(
-                    "arity-mismatch",
-                    subject,
-                    f"signature {signature} and fresh positions {new_positions} do not "
-                    f"partition the {atom.arity} argument positions",
-                )
-            )
-            continue
-        if len(step.key_sources) != len(signature):
-            out.append(
-                Violation(
-                    "signature-mismatch", subject, "key sources are not aligned with the signature"
-                )
-            )
-            continue
-        for position, (kind, value) in zip(signature, step.key_sources):
-            term = atom.terms[position]
-            if kind == _VAR:
-                if not isinstance(value, Variable) or term != value:
-                    out.append(
-                        Violation(
-                            "signature-mismatch",
-                            subject,
-                            f"position {position} key source {value!r} disagrees with "
-                            f"the atom term {term!r}",
-                        )
-                    )
-                elif value not in bound:
-                    out.append(
-                        Violation(
-                            "unbound-read",
-                            subject,
-                            f"key reads variable {value} before any step binds it",
-                        )
-                    )
-            elif kind == _CONST:
-                if isinstance(term, Variable) or term != value:
-                    out.append(
-                        Violation(
-                            "signature-mismatch",
-                            subject,
-                            f"position {position} constant {value!r} disagrees with "
-                            f"the atom term {term!r}",
-                        )
-                    )
-            else:
-                out.append(Violation("signature-mismatch", subject, f"unknown key kind {kind!r}"))
-        for position, variable in step.new_var_positions:
-            term = atom.terms[position]
-            if term != variable:
-                out.append(
-                    Violation(
-                        "signature-mismatch",
-                        subject,
-                        f"fresh position {position} names {variable} but the atom holds {term!r}",
-                    )
-                )
-            elif variable in bound:
-                out.append(
-                    Violation(
-                        "binding-order",
-                        subject,
-                        f"{variable} is already bound but scheduled as a fresh binding",
-                    )
-                )
-        bound.update(atom.variables())
-    return out
 
 
 def _verify_interned_steps(

@@ -69,7 +69,7 @@ e.g. ``"q(x1,x2) <- R^2(x1,y1), P(x2,y1)"``.
 
 Every command runs through one :class:`repro.session.Session` built for the
 invocation: the global options pick its engine backend
-(``--engine-backend``; the compiled indexed engine is the default) and
+(``--engine-backend``; the interned engine is the default) and
 print its engine-cache statistics after the command (``--engine-stats``),
 which is how the benchmarks A/B the backends.  Backends and strategies
 registered through :mod:`repro.session.registry` before parser construction
@@ -83,7 +83,7 @@ import sys
 from typing import Sequence
 
 from repro.core.decision import strategy_names
-from repro.engine import backend_names
+from repro.engine import DEFAULT_BACKEND, backend_names
 from repro.exceptions import CliError, ReproError
 from repro.queries.parser import parse_atom, parse_cq
 from repro.queries.printer import format_answer_bag, format_bag_instance, format_query
@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine-backend",
         choices=backend_names(),
-        default="indexed",
-        help="homomorphism engine backend (default: indexed)",
+        default=DEFAULT_BACKEND,
+        help=f"homomorphism engine backend (default: {DEFAULT_BACKEND})",
     )
     parser.add_argument(
         "--engine-stats",

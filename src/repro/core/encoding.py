@@ -30,7 +30,7 @@ from repro.core.probe_tuples import most_general_probe_tuple
 from repro.diophantine.inequalities import MonomialPolynomialInequality
 from repro.diophantine.monomials import Monomial
 from repro.diophantine.polynomials import Polynomial
-from repro.engine import ContainmentMappingBatcher
+from repro.evaluation.homomorphisms import containment_mappings_to_ground
 from repro.exceptions import ContainmentError, UnificationError
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
@@ -123,7 +123,6 @@ def _encode_at_probe(
     containee: ConjunctiveQuery,
     containing: ConjunctiveQuery,
     probe_tuple: tuple[Term, ...],
-    batcher: ContainmentMappingBatcher,
 ) -> MpiEncoding:
     """The per-probe encoding body shared by :func:`encode` and :func:`encode_many`."""
     grounded = containee.ground(probe_tuple, name=f"{containee.name}(t)")
@@ -141,7 +140,7 @@ def _encode_at_probe(
     mappings: tuple[Substitution, ...] = ()
     image_monomials: list[Monomial] = []
     if unifiable:
-        mappings = batcher.mappings(grounded, probe_tuple)
+        mappings = tuple(containment_mappings_to_ground(containing, grounded, probe_tuple))
         for mapping in mappings:
             image = containing.apply_substitution(mapping)
             image_monomials.append(Monomial(1, _image_exponents(image, atoms, containing)))
@@ -175,9 +174,7 @@ def encode(
     only exists because the grounding homomorphism is unique in that case).
     """
     containee.require_projection_free()
-    return _encode_at_probe(
-        containee, containing, tuple(probe), ContainmentMappingBatcher(containing)
-    )
+    return _encode_at_probe(containee, containing, tuple(probe))
 
 
 def encode_many(
@@ -185,21 +182,18 @@ def encode_many(
     containing: ConjunctiveQuery,
     probes: Iterable[Sequence[Term]],
 ) -> Iterator[MpiEncoding]:
-    """Encode one MPI per probe tuple, sharing one compiled containing-side plan.
+    """Encode one MPI per probe tuple, as :func:`encode` does for each.
 
-    The containing query's join order is compiled once (through the engine's
-    :class:`~repro.engine.batch.ContainmentMappingBatcher`) and re-targeted at
-    each grounded containee, which is what makes the all-probes and
-    bounded-guess strategies scale past a handful of probe tuples.  Lazy: a
-    caller that stops at the first refuting probe never pays for the rest
-    (the projection-freeness check still fails eagerly, at the call site).
+    Every grounded containee is a different target, so each probe tuple
+    compiles its own containing-side plan.  Lazy: a caller that stops at the
+    first refuting probe never pays for the rest (the projection-freeness
+    check still fails eagerly, at the call site).
     """
     containee.require_projection_free()
-    batcher = ContainmentMappingBatcher(containing)
 
     def generate() -> Iterator[MpiEncoding]:
         for probe in probes:
-            yield _encode_at_probe(containee, containing, tuple(probe), batcher)
+            yield _encode_at_probe(containee, containing, tuple(probe))
 
     return generate()
 

@@ -1,4 +1,4 @@
-"""Homomorphism backends: the naive reference and the compiled indexed engine.
+"""Homomorphism backends: the naive reference and the interned engine.
 
 A *backend* answers the three homomorphism questions over raw atom sets —
 enumerate (``iterate``), ``count`` and ``exists`` — behind one small
@@ -12,11 +12,16 @@ baselines, CLI) can switch implementations without code changes:
     the semantics oracle the property tests compare against and the slow
     side of the A/B benchmarks.
 
-:class:`IndexedBackend`
-    Compiles a :class:`~repro.engine.plan.MatchPlan` (memoised through an
-    :class:`~repro.engine.cache.EngineCache`) and runs the iterative
-    executor.  ``count`` and ``exists`` results are additionally memoised,
-    keyed by the full execution fingerprint.
+:class:`InternedBackend`
+    The production engine and the default (:data:`DEFAULT_BACKEND`):
+    cost-ordered integer plans over an interned columnar target, memoised
+    through an :class:`~repro.engine.cache.EngineCache`, with ``count`` and
+    ``exists`` results additionally memoised by the full execution
+    fingerprint.
+
+:class:`GeneratedBackend`
+    The interned data plane executed by generated nested-loop functions,
+    with adaptive mid-execution replanning.
 
 The module also owns the backend *registry* — a name → factory mapping that
 third-party backends join through :func:`register_backend` — and the
@@ -38,12 +43,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.analysis import hooks as _verify_hooks
 from repro.engine.cache import EngineCache
-from repro.engine.executor import (
-    ExecutionStats,
-    execute_count,
-    execute_exists,
-    execute_iterate,
-)
 from repro.engine.fingerprints import atoms_fingerprint
 from repro.engine.generated import (
     DEFAULT_REPLAN_INTERVAL,
@@ -54,6 +53,7 @@ from repro.engine.generated import (
     generated_iterate,
 )
 from repro.engine.interned import (
+    ExecutionStats,
     InternedPlan,
     compile_interned_plan,
     interned_count,
@@ -61,7 +61,6 @@ from repro.engine.interned import (
     interned_iterate,
 )
 from repro.engine.interning import InternedTarget, TermDictionary
-from repro.engine.plan import JoinTemplate, MatchPlan
 from repro.exceptions import ReproError
 from repro.relational.atoms import Atom
 from repro.relational.substitutions import Substitution
@@ -70,10 +69,10 @@ from repro.relational.terms import Term, Variable
 __all__ = [
     "Backend",
     "NaiveBackend",
-    "IndexedBackend",
     "InternedBackend",
     "GeneratedBackend",
     "BACKEND_NAMES",
+    "DEFAULT_BACKEND",
     "BackendFactory",
     "backend_names",
     "create_backend",
@@ -84,6 +83,10 @@ __all__ = [
     "use_backend",
     "default_cache",
 ]
+
+#: Container types the identity plan memo trusts: their contents cannot
+#: change while the same object is alive.
+_FROZEN = (tuple, frozenset)
 
 
 class Backend:
@@ -147,8 +150,8 @@ class NaiveBackend(Backend):
     """The recursive reference implementation (pre-engine semantics).
 
     Kept byte-for-byte faithful to the original
-    ``repro.evaluation.homomorphisms.homomorphisms`` so that the indexed
-    engine always has a trusted oracle: the target is re-indexed per call and
+    ``repro.evaluation.homomorphisms.homomorphisms`` so that the compiled
+    backends always have a trusted oracle: the target is re-indexed per call and
     the next atom is chosen greedily per node by re-counting candidates.
     """
 
@@ -224,70 +227,6 @@ class NaiveBackend(Backend):
             yield Substitution(complete)
 
 
-class IndexedBackend(Backend):
-    """The compiled plan/execute engine with plan and result memoisation."""
-
-    name = "indexed"
-
-    def __init__(self, cache: EngineCache | None = None, collect_stats: bool = True) -> None:
-        self.cache = cache if cache is not None else EngineCache()
-        self.stats = ExecutionStats() if collect_stats else None
-
-    # ------------------------------------------------------------------ #
-    # Plan access
-    # ------------------------------------------------------------------ #
-    def plan(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | Iterable[Variable] | None = None,
-        template: JoinTemplate | None = None,
-    ) -> MatchPlan:
-        """The (memoised) compiled plan for a ``(source, target, fixed)`` triple."""
-        fixed_variables = frozenset(fixed or ())
-        source = tuple(source_atoms)
-        plan = self.cache.plan(source, target_atoms, fixed_variables, template=template)
-        if _verify_hooks.verification_enabled():
-            _verify_hooks.check_plan(plan, source_atoms=source, fixed_variables=fixed_variables)
-        return plan
-
-    # ------------------------------------------------------------------ #
-    # Backend interface
-    # ------------------------------------------------------------------ #
-    def iterate(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> Iterator[Substitution]:
-        plan = self.plan(source_atoms, target_atoms, fixed)
-        return execute_iterate(plan, fixed, stats=self.stats)
-
-    def count(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> int:
-        plan = self.plan(source_atoms, target_atoms, fixed)
-        key = self._result_key("count", plan, fixed)
-        return self.cache.result(key, lambda: execute_count(plan, fixed, stats=self.stats))  # type: ignore[return-value]
-
-    def exists(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> bool:
-        plan = self.plan(source_atoms, target_atoms, fixed)
-        key = self._result_key("exists", plan, fixed)
-        return self.cache.result(key, lambda: execute_exists(plan, fixed, stats=self.stats))  # type: ignore[return-value]
-
-    @staticmethod
-    def _result_key(mode: str, plan: MatchPlan, fixed: Mapping[Variable, Term] | None) -> tuple:
-        return _scalar_result_key("indexed", mode, plan.source_atoms, plan.target_atoms, fixed)
-
-
 class InternedBackend(Backend):
     """The integer data plane: interned terms, columnar rows, packed keys.
 
@@ -322,11 +261,13 @@ class InternedBackend(Backend):
         #: cost ordering reads and ``--engine-stats`` prints.
         self.selectivity: dict[tuple[str, int, tuple[int, ...]], list[int]] = {}
         #: Identity-keyed plan memo: callers that re-execute with the *same*
-        #: atom containers (cached ``body_atoms()`` tuples, ``facts``
-        #: frozensets) skip fingerprinting entirely.  Values hold strong
-        #: references to the keyed containers, so an id can never be
-        #: recycled while its entry is alive; cleared wholesale when full.
+        #: immutable atom containers (cached ``body_atoms()`` tuples,
+        #: ``facts`` frozensets) skip fingerprinting entirely.  Values hold
+        #: strong references to the keyed containers, so an id can never be
+        #: recycled while its entry is alive; cleared wholesale when full or
+        #: when the cache's generation moves (an ``invalidate``/``clear``).
         self._plan_memo: dict[tuple, tuple[object, object, InternedPlan]] = {}
+        self._memo_generation = self.cache.generation
 
     # ------------------------------------------------------------------ #
     # Compiled artefact access
@@ -351,17 +292,29 @@ class InternedBackend(Backend):
     ) -> InternedPlan:
         """The (cached) cost-ordered integer plan for a ``(source, target, fixed)`` triple.
 
-        Lookup is two-tier: an identity memo keyed on the container ids
-        (hit when callers pass stable tuples/frozensets, as the cached
-        query/instance accessors do), backed by the shared cache's
-        fingerprint-keyed plan layer, which unifies logically equal triples
-        arriving under fresh identities.
+        Lookup is two-tier: an identity memo keyed on the container ids,
+        consulted only when both containers are tuples or frozensets (as
+        the cached query/instance accessors return) — a list or set may be
+        mutated in place between calls, so it always takes the second tier,
+        the shared cache's fingerprint-keyed plan layer, which also unifies
+        logically equal triples arriving under fresh identities.  An
+        identity-memo hit counts as a plan-layer hit in the cache
+        statistics, so ``plans`` hits measure plan reuse whichever tier
+        answered.
         """
         fixed_variables = frozenset(fixed or ())
-        ident = (id(source_atoms), id(target_atoms), fixed_variables)
         memo = self._plan_memo
-        entry = memo.get(ident)
+        if self._memo_generation != self.cache.generation:
+            memo.clear()
+            self._memo_generation = self.cache.generation
+        ident = None
+        if isinstance(source_atoms, _FROZEN) and isinstance(target_atoms, _FROZEN):
+            ident = (id(source_atoms), id(target_atoms), fixed_variables)
+            entry = memo.get(ident)
+        else:
+            entry = None
         if entry is not None and entry[0] is source_atoms and entry[1] is target_atoms:
+            self.cache.plan_stats.hits += 1
             if _verify_hooks.verification_enabled():
                 _verify_hooks.check_plan(
                     entry[2],
@@ -385,9 +338,10 @@ class InternedBackend(Backend):
             return self._compile_plan(source, target, fixed_variables)
 
         plan = self.cache.plan_entry(key, build)  # type: ignore[assignment]
-        if len(memo) >= self._PLAN_MEMO_LIMIT:
-            memo.clear()
-        memo[ident] = (source_atoms, target_atoms, plan)  # type: ignore[arg-type]
+        if ident is not None:
+            if len(memo) >= self._PLAN_MEMO_LIMIT:
+                memo.clear()
+            memo[ident] = (source_atoms, target_atoms, plan)  # type: ignore[arg-type]
         if _verify_hooks.verification_enabled():
             _verify_hooks.check_plan(
                 plan,
@@ -497,7 +451,7 @@ class GeneratedBackend(InternedBackend):
     selectivity counters every ``replan_interval`` top-level rows,
     re-ordering and recompiling the unexecuted suffix when observations
     diverge from the planned estimates by ``replan_threshold`` (a ratio).
-    Replanning permutes enumeration order only, so all four backends stay
+    Replanning permutes enumeration order only, so all backends stay
     verdict-, certificate- and count-identical.
 
     Plans hold compiled closures, which are deliberately *not* picklable —
@@ -601,7 +555,11 @@ class GeneratedBackend(InternedBackend):
 
 
 #: The canonical built-in backend names, in CLI presentation order.
-BACKEND_NAMES = ("naive", "indexed", "interned", "generated")
+BACKEND_NAMES = ("naive", "interned", "generated")
+
+#: The production backend: what sessions, the CLI, the persistent tier and
+#: every un-configured context use unless told otherwise.
+DEFAULT_BACKEND = "interned"
 
 #: A backend factory: given an (optional) cache to share, build an instance.
 #: Factories that need no cache (like the naive reference) ignore the argument.
@@ -609,7 +567,6 @@ BackendFactory = Callable[[EngineCache | None], Backend]
 
 _FACTORIES: dict[str, BackendFactory] = {
     "naive": lambda cache: NaiveBackend(),
-    "indexed": lambda cache: IndexedBackend(cache=cache),
     "interned": lambda cache: InternedBackend(cache=cache),
     "generated": lambda cache: GeneratedBackend(cache=cache),
 }
@@ -619,7 +576,8 @@ _SHARED: dict[str, Backend] = {}
 _SHARED_LOCK = threading.Lock()
 
 #: The backend explicitly selected in the *current context* (``use_backend``,
-#: ``set_default_backend``, or an active session), or ``None`` for "indexed".
+#: ``set_default_backend``, or an active session), or ``None`` for
+#: :data:`DEFAULT_BACKEND`.
 _ACTIVE_BACKEND: ContextVar[Backend | None] = ContextVar("repro_active_backend", default=None)
 
 #: Name → instance resolver installed by an active session so that lookups
@@ -669,7 +627,7 @@ def _shared_instance(name: str) -> Backend:
     instance = _SHARED.get(name)
     if instance is None:
         # Locked: concurrent first lookups must agree on one shared instance
-        # (and, for the indexed backend, one shared cache).
+        # (and therefore one shared cache).
         with _SHARED_LOCK:
             instance = _SHARED.get(name)
             if instance is None:
@@ -691,14 +649,14 @@ def get_default_backend() -> Backend:
 
     Resolution is context-local: an explicit :func:`use_backend` /
     :func:`set_default_backend` selection in this context wins, then an
-    active session's backend, then the process-wide shared ``indexed``
-    instance.  New threads start from the base default, so a selection made
-    in one thread never leaks into another.
+    active session's backend, then the process-wide shared
+    :data:`DEFAULT_BACKEND` instance.  New threads start from the base
+    default, so a selection made in one thread never leaks into another.
     """
     active = _ACTIVE_BACKEND.get()
     if active is not None:
         return active
-    return get_backend("indexed")
+    return get_backend(DEFAULT_BACKEND)
 
 
 def set_default_backend(name: str) -> str:
@@ -724,12 +682,14 @@ def use_backend(name: str):
 
 
 def default_cache() -> EngineCache:
-    """The cache of the current indexed backend (for stats and invalidation).
+    """The cache of the default backend (for stats and invalidation).
 
     Inside an active session this is the *session's* cache; otherwise the
-    process-wide shared indexed backend's cache.
+    process-wide shared :data:`DEFAULT_BACKEND` instance's cache.
     """
-    backend = get_backend("indexed")
-    if not isinstance(backend, IndexedBackend):
-        raise ReproError("the 'indexed' backend registration does not produce an IndexedBackend")
+    backend = get_backend(DEFAULT_BACKEND)
+    if not isinstance(backend, InternedBackend):
+        raise ReproError(
+            f"the {DEFAULT_BACKEND!r} backend registration does not produce an InternedBackend"
+        )
     return backend.cache

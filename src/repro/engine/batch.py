@@ -1,16 +1,16 @@
-"""Batch entry points: one compiled plan, many probe tuples / bags / targets.
+"""Batch entry points: many probe tuples / bags / bindings in one call.
 
-The decision procedures and baselines of this library are embarrassingly
-repetitive: the all-probes strategy re-maps the same containing query into a
-freshly grounded containee once per probe tuple, and the brute-force
-refuters re-evaluate the same grounded containee on thousands of candidate
-bags that differ only in fact multiplicities.  The batch APIs amortise the
-per-call compilation (and, for bags, the homomorphism enumeration itself)
-across the whole workload:
+The decision procedures and baselines of this library are repetitive: the
+brute-force refuters re-evaluate the same grounded containee on thousands of
+candidate bags that differ only in fact multiplicities, and counting callers
+sweep one query over many answer tuples.  The batch APIs take the whole
+sweep at once:
 
-* :func:`count_many` — one plan, one count per fixed-binding assignment;
-* :func:`containment_mappings_many` — the containing query's join order is
-  compiled once and re-instantiated against each grounded containee;
+* :func:`count_many` — one count per fixed-binding assignment; the backend's
+  plan cache is keyed on the fixed-variable *set*, so the sweep compiles
+  one plan;
+* :func:`containment_mappings_many` — ``CM(q2, q1@t)`` for each grounded
+  containee (one plan per target: nothing is shared between probes);
 * :func:`evaluate_bag_many` / :class:`BagBatchEvaluator` — homomorphisms
   only depend on the *support* of a bag, so they are enumerated once over
   the union support and each bag merely re-weights the cached contribution
@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.engine.backends import Backend, IndexedBackend, get_default_backend
-from repro.engine.executor import execute_count, execute_iterate
-from repro.engine.plan import compile_template
+from repro.engine.backends import Backend, get_default_backend
 from repro.exceptions import ReproError
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
@@ -39,11 +37,6 @@ __all__ = [
     "BagBatchEvaluator",
     "head_fixing",
 ]
-
-
-def _indexed(backend: Backend | None) -> IndexedBackend | None:
-    backend = backend if backend is not None else get_default_backend()
-    return backend if isinstance(backend, IndexedBackend) else None
 
 
 def count_many(
@@ -65,14 +58,10 @@ def count_many(
     for fixed in fixed_list[1:]:
         if frozenset(fixed) != key_set:
             raise ReproError("count_many requires every fixed mapping to bind the same variables")
-    indexed = _indexed(backend)
-    if indexed is None:
-        naive = backend if backend is not None else get_default_backend()
-        source = tuple(source_atoms)
-        target = tuple(target_atoms)
-        return tuple(naive.count(source, target, fixed) for fixed in fixed_list)
-    plan = indexed.plan(source_atoms, target_atoms, key_set)
-    return tuple(execute_count(plan, fixed, stats=indexed.stats) for fixed in fixed_list)
+    resolved = backend if backend is not None else get_default_backend()
+    source = tuple(source_atoms)
+    target = tuple(target_atoms)
+    return tuple(resolved.count(source, target, fixed) for fixed in fixed_list)
 
 
 def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, Term] | None:
@@ -97,54 +86,34 @@ def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, 
 
 
 class ContainmentMappingBatcher:
-    """Shares the containing query's compiled join order across many targets.
+    """Maps one containing query into many grounded containees on one backend.
 
-    The fail-first order of a containment-mapping search depends only on the
-    source side (the containing query's body) and on the set of pre-bound
-    head variables — not on which grounded containee it is aimed at.  The
-    batcher compiles that :class:`~repro.engine.plan.JoinTemplate` on first
-    use and re-instantiates it per grounded target, so a probe-tuple sweep
-    pays compilation once and per-probe cost is index bucketing plus
-    execution.  Streaming callers (the all-probes decision strategy stops at
-    the first refuting probe) use this class directly;
-    :func:`containment_mappings_many` is the eager list-in/list-out wrapper.
+    Per target the batcher unifies the head with the probe tuple and runs
+    the backend's ``iterate`` with those bindings fixed — the same search as
+    :func:`~repro.evaluation.homomorphisms.containment_mappings_to_ground`,
+    pinned to an explicit backend.  :func:`containment_mappings_many` is the
+    eager list-in/list-out wrapper.
     """
 
-    __slots__ = ("containing", "_source", "_fixed_variables", "_backend", "_template")
+    __slots__ = ("containing", "_source", "_backend")
 
     def __init__(self, containing: ConjunctiveQuery, backend: Backend | None = None) -> None:
         self.containing = containing
         self._source = containing.body_atoms()
-        self._fixed_variables = frozenset(
-            term for term in containing.head if isinstance(term, Variable)
-        )
         self._backend = backend
-        self._template = None
 
     def mappings(
         self, grounded: ConjunctiveQuery, probe: Sequence[Term]
     ) -> tuple[Substitution, ...]:
-        """``CM(containing, grounded@probe)`` through the shared template."""
+        """``CM(containing, grounded@probe)`` on the batcher's backend."""
         probe = tuple(probe)
         if self.containing.arity != len(probe):
             return ()
         fixed = head_fixing(self.containing.head, probe)
         if fixed is None:
             return ()
-        target = grounded.body_atoms()
-        indexed = _indexed(self._backend)
-        if indexed is None:
-            naive = self._backend if self._backend is not None else get_default_backend()
-            return tuple(naive.iterate(self._source, target, fixed))
-        if self._template is None:
-            index = indexed.cache.target_index(target)
-            self._template = compile_template(
-                self._source, self._fixed_variables, index.relation_sizes()
-            )
-        plan = indexed.cache.plan(
-            self._source, target, self._fixed_variables, template=self._template
-        )
-        return tuple(execute_iterate(plan, fixed, stats=indexed.stats))
+        backend = self._backend if self._backend is not None else get_default_backend()
+        return tuple(backend.iterate(self._source, grounded.body_atoms(), fixed))
 
 
 def containment_mappings_many(
@@ -155,8 +124,7 @@ def containment_mappings_many(
     """``CM(q2(x2), q1(t))`` for a batch of grounded containees.
 
     *grounded_targets* is a sequence of ``(grounded containee, probe)``
-    pairs, typically one per probe tuple of a single containee; the
-    containing query is compiled once and re-targeted per pair (see
+    pairs, typically one per probe tuple of a single containee (see
     :class:`ContainmentMappingBatcher`).
     """
     batcher = ContainmentMappingBatcher(containing, backend=backend)

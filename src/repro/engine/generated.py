@@ -1,7 +1,7 @@
 """The generated backend: compiled closure-chains plus adaptive replanning.
 
-This is the fourth engine backend.  It reuses the entire interned data
-plane — the :class:`~repro.engine.interning.TermDictionary`, the columnar
+This backend reuses the entire interned data plane — the
+:class:`~repro.engine.interning.TermDictionary`, the columnar
 :class:`~repro.engine.interning.InternedTarget`, and the cost-ordered
 :class:`~repro.engine.interned.InternedPlan` — but replaces the interpreted
 step loop with functions generated by :mod:`repro.engine.codegen`: the plan
@@ -29,17 +29,17 @@ from typing import Iterator, Mapping
 
 from repro.analysis import hooks as _verify_hooks
 from repro.engine.codegen import compile_static, compile_suffix
-from repro.engine.executor import ExecutionStats
 from repro.engine.interned import (
+    ExecutionStats,
     InternedPlan,
     InternedStep,
     SelectivityCounters,
     _prepare,
     compile_step,
+    greedy_order,
     step_cost,
 )
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary, observed_average
-from repro.engine.plan import greedy_order
 from repro.faults.runtime import TICK_INTERVAL, tick_handle
 from repro.relational.substitutions import Substitution
 from repro.relational.terms import Term, Variable
@@ -291,6 +291,9 @@ def generated_count(
     before = _candidates_snapshot(plan) if stats is not None else 0
     solutions = 0
     try:
+        # Fetched before any probing: its up-front deadline check covers
+        # executions that never reach a polling interval (static-only plans).
+        runtime_tick = tick_handle()
         if not plan.static_chain(binding):
             return 0
         steps = base.steps
@@ -309,7 +312,6 @@ def generated_count(
         tick = 0
         # Deadline/fault polling piggybacks on the replan tick: one extra
         # None-test per interval, nothing per row when inactive.
-        runtime_tick = tick_handle()
         for row in rows:
             ok = True
             for position, slot in new_ops:
@@ -351,6 +353,7 @@ def generated_exists(
     before = _candidates_snapshot(plan) if stats is not None else 0
     found = False
     try:
+        runtime_tick = tick_handle()  # the up-front check (see generated_count)
         if not plan.static_chain(binding):
             return False
         steps = base.steps
@@ -366,7 +369,6 @@ def generated_exists(
             return found
         # Exists has no replan tick to piggyback on; a countdown keeps the
         # inactive cost at one falsy integer test per top-level row.
-        runtime_tick = tick_handle()
         countdown = TICK_INTERVAL if runtime_tick is not None else 0
         for row in rows:
             if countdown:
@@ -456,6 +458,7 @@ def generated_iterate(
             return Substitution._trusted(mapping)
 
     try:
+        runtime_tick = tick_handle()  # the up-front check (see generated_count)
         if not plan.static_chain(binding):
             return
         steps = base.steps
@@ -480,7 +483,6 @@ def generated_iterate(
         tick = 0
         # Deadline/fault polling piggybacks on the replan tick (see
         # generated_count).
-        runtime_tick = tick_handle()
         for row in rows:
             ok = True
             for position, slot in new_ops:

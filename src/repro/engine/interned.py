@@ -1,9 +1,10 @@
 """The interned backend: integer-only plans, cost-ordered, over columnar data.
 
-This is the third engine backend (after ``naive`` and ``indexed``).  It
-answers the same three questions — ``iterate`` / ``count`` / ``exists`` —
-but its compiled artefacts never touch a :class:`~repro.relational.terms.Term`
-inside the inner loop:
+This is the production engine backend (``naive`` is the executable
+specification it is checked against).  It answers the three homomorphism
+questions — ``iterate`` / ``count`` / ``exists`` — and its compiled
+artefacts never touch a :class:`~repro.relational.terms.Term` inside the
+inner loop:
 
 * the target is interned once into an :class:`~repro.engine.interning.InternedTarget`
   (columnar ``(relation, arity)`` buckets of tuple-of-int rows, packed-key
@@ -17,21 +18,21 @@ inside the inner loop:
   have never been probed — the planner learns from the index statistics the
   executor accumulates.
 
-The executor mirrors :mod:`repro.engine.executor` exactly (iterative loop,
-explicit trail, early-exit ``exists``), so the three backends remain
-solution-for-solution interchangeable; substitutions are materialised only
-in ``iterate`` mode, by translating slot bindings back through the backend's
-:class:`~repro.engine.interning.TermDictionary`.
+The executor is an iterative loop with an explicit trail and an early-exit
+``exists`` mode, solution-for-solution interchangeable with the naive
+backtracker; substitutions are materialised only in ``iterate`` mode, by
+translating slot bindings back through the backend's
+:class:`~repro.engine.interning.TermDictionary`.  :class:`ExecutionStats`
+counts candidates tried and solutions found, which the test-suite uses to
+prove that ``exists`` genuinely stops at the first solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.engine.executor import ExecutionStats, _Run
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary
-from repro.engine.plan import greedy_order
 from repro.faults.runtime import TICK_INTERVAL, tick_handle
 from repro.exceptions import ReproError
 from repro.relational.atoms import Atom
@@ -39,11 +40,13 @@ from repro.relational.substitutions import Substitution
 from repro.relational.terms import Term, Variable
 
 __all__ = [
+    "ExecutionStats",
     "InternedPlan",
     "InternedStep",
     "atom_signature",
     "compile_interned_plan",
     "compile_step",
+    "greedy_order",
     "interned_count",
     "interned_exists",
     "interned_iterate",
@@ -52,6 +55,58 @@ __all__ = [
 
 #: Selectivity counters: ``[probes, candidates returned]`` per signature.
 SelectivityCounters = dict[tuple[str, int, tuple[int, ...]], list[int]]
+
+
+@dataclass
+class ExecutionStats:
+    """Counters accumulated by plan executions that opt into stats."""
+
+    candidates_tried: int = 0
+    solutions_found: int = 0
+    executions: int = 0
+
+    def merge(self, other: "ExecutionStats") -> None:
+        self.candidates_tried += other.candidates_tried
+        self.solutions_found += other.solutions_found
+        self.executions += other.executions
+
+
+@dataclass
+class _Run:
+    """Mutable per-execution state shared by the mode wrappers."""
+
+    candidates: int = 0
+    solutions: int = 0
+
+
+def greedy_order(
+    atoms: Sequence[Atom],
+    bound: set[Variable],
+    estimate: Callable[[Atom, set[Variable]], tuple[float, int]],
+) -> Iterator[tuple[Atom, tuple[float, int]]]:
+    """Yield *atoms* in greedy fail-first order under a pluggable cost model.
+
+    At each step the atom minimising ``estimate(atom, bound)`` is scheduled
+    (ties keep the original atom order, so scheduling is deterministic for a
+    fixed cost model) and yielded together with the winning cost, and
+    *bound* — mutated in place — absorbs the atom's variables before the
+    next pick.  The mutation happens on generator resume, so a consumer
+    that builds one step per yielded atom always observes the bound set as
+    of *before* that atom.  Both join compilers in the engine (the interned
+    planner and the generated backend's mid-execution replanner) run their
+    ordering through this one loop.
+    """
+    remaining = list(atoms)
+    while remaining:
+        best_index = 0
+        best_cost = estimate(remaining[0], bound)
+        for index in range(1, len(remaining)):
+            cost = estimate(remaining[index], bound)
+            if cost < best_cost:
+                best_cost, best_index = cost, index
+        atom = remaining.pop(best_index)
+        yield atom, best_cost
+        bound.update(atom.variables())
 
 
 class InternedStep:
@@ -135,8 +190,11 @@ class InternedPlan:
     def check_fixed(self, fixed: Mapping[Variable, Term]) -> None:
         """Reject execution-time bindings the plan was not compiled for.
 
-        Same contract (and messages) as
-        :meth:`repro.engine.plan.MatchPlan.check_fixed`.
+        Bindings for source variables outside the compiled fixed set would
+        silently bypass the signature indexes (the plan would treat them as
+        free), and compiled fixed variables left unbound would leave their
+        slots empty when the probe keys are built — both are errors rather
+        than slow or broken paths.
         """
         unplanned = [
             variable
@@ -250,8 +308,8 @@ def compile_interned_plan(
 ) -> InternedPlan:
     """Compile a cost-ordered integer plan against an interned target.
 
-    The join order is greedy like the indexed compiler's, but the per-atom
-    cost is the *observed* selectivity of the atom's bound-position
+    The join order is greedy fail-first, and the per-atom cost is the
+    *observed* selectivity of the atom's bound-position
     signature whenever the target has already built (and therefore
     measured) that signature index: ``len(bucket) / groups`` is exactly the
     average number of candidates a probe returns.  Signatures never probed
@@ -308,15 +366,23 @@ def compile_interned_plan(
 def _solutions(plan: InternedPlan, binding: list[int], run: _Run) -> Iterator[list[int]]:
     """Core integer loop: yields the *live* binding list once per solution.
 
-    Mirrors :func:`repro.engine.executor._solutions` — same trail-based
-    backtracking, same counter semantics — with all object-protocol costs
-    replaced by list indexing and machine-int comparisons.
+    Trail-based backtracking over list indexing and machine-int
+    comparisons.  Callers must not retain the yielded list across
+    iterations — translate it (``iterate`` does) or consume it immediately
+    (``count`` and ``exists`` do).
     """
     steps = plan.steps
     n = len(steps)
 
     candidates = 0
     try:
+        # Deadline/fault tick: one falsy integer test per iteration when no
+        # deadline and no fault plan are armed (tick is then None).  Fetched
+        # before any probing, so its up-front deadline check also covers
+        # executions that never reach a polling interval (static-only plans).
+        tick = tick_handle()
+        countdown = TICK_INTERVAL if tick is not None else 0
+
         # The static preconditions: a flat conjunction of probes, at most
         # one candidate each, independent of every search choice below.
         for step in plan.static_steps:
@@ -350,10 +416,6 @@ def _solutions(plan: InternedPlan, binding: list[int], run: _Run) -> Iterator[li
 
         depth = 0
         entering = True
-        # Deadline/fault tick: one falsy integer test per iteration when no
-        # deadline and no fault plan are armed (tick is then None).
-        tick = tick_handle()
-        countdown = TICK_INTERVAL if tick is not None else 0
         while depth >= 0:
             if countdown:
                 countdown -= 1
@@ -446,9 +508,9 @@ def _prepare(
     """Initial slot bindings plus the fixed entries that have no slot.
 
     Fixed bindings for variables outside the plan's slot space (neither
-    source nor compiled-fixed — the indexed executor simply carries them
-    through) are returned separately so ``iterate`` can include them in the
-    yielded substitutions, matching the reference semantics.
+    source nor compiled-fixed) are returned separately so ``iterate`` can
+    include them in the yielded substitutions, matching the reference
+    semantics.
     """
     fixed = fixed or {}
     binding = [-1] * len(plan.slot_variables)

@@ -1,12 +1,12 @@
 """Term interning and columnar target storage for the interned backend.
 
-The compiled engine of :mod:`repro.engine.plan` still manipulates the
-library's value objects directly: every candidate probe hashes tuples of
+A search over the library's value objects pays object-protocol costs in
+its hot loops: every candidate probe hashes tuples of
 :class:`~repro.relational.terms.Term` dataclasses, every binding check runs
 a dataclass ``__eq__``, and every signature-index lookup rebuilds a term
-tuple.  For the hot loops — homomorphism enumeration, counting and existence
-— those object-protocol costs dominate once plans are cached.  This module
-replaces the representation underneath:
+tuple.  For homomorphism enumeration, counting and existence those costs
+dominate once plans are cached.  This module replaces the representation
+underneath:
 
 :class:`TermDictionary`
     A per-backend bijection between terms and dense integer ids.  Interning

@@ -38,6 +38,7 @@ from pathlib import Path
 from random import Random
 from typing import Any
 
+from repro.engine.backends import DEFAULT_BACKEND
 from repro.engine.fingerprints import persistent_digest
 from repro.exceptions import FaultError
 from repro.faults.plan import FaultPlan, FaultRule, use_faults
@@ -68,7 +69,7 @@ class ChaosConfig:
     seed: int = 0
     schedule: str = "mixed"
     jobs: int = 2
-    backend: str = "indexed"
+    backend: str = DEFAULT_BACKEND
     chunk_size: int = 4
     #: Wall-clock bound per worker task; hung/crashed shards are retried
     #: and bisected by :func:`repro.parallel.parallel_batch` within it.

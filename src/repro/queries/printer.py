@@ -3,17 +3,21 @@
 The printers produce the notation used throughout the paper (datalog rules
 with multiplicity superscripts, bags written as ``{fact^k, ...}``) so that
 examples, CLI output and test failure messages read like the paper itself.
+Terms print in the syntax of :mod:`repro.queries.parser`, so a printed
+query parses back to itself.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from repro.queries.cq import ConjunctiveQuery
+from repro.queries.parser import DEFAULT_VARIABLE_PREFIXES
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance, SetInstance
-from repro.relational.terms import Term
+from repro.relational.terms import Constant, Term, Variable
 
 __all__ = [
     "format_term",
@@ -26,8 +30,29 @@ __all__ = [
 ]
 
 
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
 def format_term(term: Term) -> str:
-    """Render a term the way the paper writes it (canonical constants as ``^x``)."""
+    """Render a term the way the paper writes it (canonical constants as ``^x``).
+
+    Bare names are kept wherever the parser reads them back as the same
+    term: a variable whose name does not start with one of the
+    :data:`~repro.queries.parser.DEFAULT_VARIABLE_PREFIXES` letters gets
+    the ``?`` variable marker, and a string constant that would otherwise
+    parse as a variable (or as an integer) is quoted.
+    """
+    if isinstance(term, Variable):
+        name = term.name
+        if _IDENTIFIER.fullmatch(name) and name[0].lower() in DEFAULT_VARIABLE_PREFIXES:
+            return name
+        return f"?{name}"
+    if isinstance(term, Constant) and isinstance(term.value, str):
+        value = term.value
+        if _IDENTIFIER.fullmatch(value) and value[0].lower() not in DEFAULT_VARIABLE_PREFIXES:
+            return value
+        quote = '"' if "'" in value else "'"
+        return f"{quote}{value}{quote}"
     return str(term)
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.analysis import hooks as _verify_hooks
-from repro.engine.backends import Backend, backend_names, create_backend
+from repro.engine.backends import DEFAULT_BACKEND, Backend, backend_names, create_backend
 from repro.engine.cache import EngineCache, snapshot_delta
 from repro.engine.persist import PersistentCache
 from repro.engine import backends as _backends
@@ -119,7 +119,7 @@ class SessionSpec:
     the module that registers the plugin before the spec is built.
     """
 
-    backend: str = "indexed"
+    backend: str = DEFAULT_BACKEND
     limits: Limits = Limits()
     memoize: bool = True
     name: str = "worker"
@@ -175,7 +175,8 @@ class Session:
     ----------
     backend:
         The default engine backend name for this session (any registered
-        name; ``indexed`` unless overridden).
+        name; :data:`~repro.engine.backends.DEFAULT_BACKEND` unless
+        overridden).
     cache:
         The engine cache the session's stateful backends share; a fresh
         :class:`EngineCache` is created when omitted.
@@ -190,8 +191,8 @@ class Session:
         pipeline, and show up as ``results`` hits in outcome cache deltas.
     persist_path:
         Back the session cache with a disk store at this path
-        (:class:`~repro.engine.persist.PersistentCache`): compiled plans,
-        count/exists memos and decision verdicts warm across restarts, and
+        (:class:`~repro.engine.persist.PersistentCache`): count/exists
+        memos and decision verdicts warm across restarts, and
         parallel workers built from :meth:`spec` share the same store.  A
         missing/corrupt store silently degrades to cold behaviour.
     fault_plan:
@@ -204,7 +205,7 @@ class Session:
 
     def __init__(
         self,
-        backend: str = "indexed",
+        backend: str = DEFAULT_BACKEND,
         cache: EngineCache | None = None,
         limits: Limits | None = None,
         name: str | None = None,

@@ -1,6 +1,6 @@
 """The verified fuzz campaign: 300 cases with online soundness checks.
 
-Every plan the indexed/interned/generated backends compile during the
+Every plan the interned/generated backends compile during the
 differential campaign is pushed through ``verify_plan``, and every function
 the generated backend synthesizes (including post-replan recompilations) is
 AST-verified by ``verify_generated``.  The campaign must stay green AND
@@ -23,7 +23,7 @@ def test_300_case_campaign_verifies_every_plan_and_function():
     assert report.ok, report.describe()
     assert report.cases_run == 300
     # The differential oracle runs every registered backend per case, so the
-    # verified counts cover indexed, interned and generated plans alike.
+    # verified counts cover interned and generated plans alike.
     assert set(report.config.backends) == set(BACKEND_NAMES)
     plans, functions, violations = report.engine_stats["verify"]
     assert violations == 0, report.describe()

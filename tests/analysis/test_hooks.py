@@ -39,7 +39,7 @@ class TestContextFlag:
 
 
 class TestSessionIntegration:
-    @pytest.mark.parametrize("backend", ["indexed", "interned", "generated"])
+    @pytest.mark.parametrize("backend", ["interned", "generated"])
     def test_decisions_are_verified_when_enabled(self, backend):
         session = Session(backend=backend, debug_verify_plans=True)
         outcome = session.decide(Q2, Q1)
@@ -67,7 +67,7 @@ class TestSessionIntegration:
         assert spec.debug_verify_plans is True
         rebuilt = spec.build()
         assert rebuilt.debug_verify_plans is True
-        assert Session(backend="indexed").spec().debug_verify_plans is False
+        assert Session(backend="interned").spec().debug_verify_plans is False
 
     def test_evaluation_and_mpi_paths_are_covered(self):
         from repro.relational.instances import BagInstance

@@ -23,33 +23,6 @@ SOURCE = "q() :- e(x,y), e(y,z), e(z,x), f(x,w)"
 TARGET = "p() :- e('a','b'), e('b','c'), e('c','a'), e('a','a'), f('a','u'), f('b','v')"
 
 
-class TestVerifyMatchPlan:
-    def test_compiled_plan_is_clean(self):
-        _, plan, source, _ = plan_for("indexed", SOURCE, TARGET)
-        assert verify_plan(plan, source_atoms=source, fixed_variables=frozenset()) == []
-
-    def test_accepts_query_objects_for_source(self):
-        _, plan, _, _ = plan_for("indexed", SOURCE, TARGET)
-        assert verify_plan(plan, source_atoms=parse_cq(SOURCE)) == []
-
-    def test_fixed_contract_mismatch_is_reported(self):
-        _, plan, source, _ = plan_for("indexed", SOURCE, TARGET)
-        violations = verify_plan(
-            plan, source_atoms=source, fixed_variables=frozenset({Variable("x")})
-        )
-        assert any(v.code == "fixed-mismatch" for v in violations)
-
-    def test_wrong_source_atoms_break_the_permutation(self):
-        _, plan, _, _ = plan_for("indexed", SOURCE, TARGET)
-        other = parse_cq("q() :- e(x,y)").body_atoms()
-        violations = verify_plan(plan, source_atoms=other)
-        assert any(v.code == "order-permutation" for v in violations)
-
-    def test_unknown_plan_type_is_reported(self):
-        violations = verify_plan(object())
-        assert [v.code for v in violations] == ["unknown-plan"]
-
-
 class TestVerifyInternedPlan:
     def test_compiled_plan_is_clean(self):
         backend, plan, source, _ = plan_for("interned", SOURCE, TARGET)
@@ -62,6 +35,27 @@ class TestVerifyInternedPlan:
             )
             == []
         )
+
+    def test_accepts_query_objects_for_source(self):
+        _, plan, _, _ = plan_for("interned", SOURCE, TARGET)
+        assert verify_plan(plan, source_atoms=parse_cq(SOURCE)) == []
+
+    def test_fixed_contract_mismatch_is_reported(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        violations = verify_plan(
+            plan, source_atoms=source, fixed_variables=frozenset({Variable("x")})
+        )
+        assert any(v.code == "fixed-mismatch" for v in violations)
+
+    def test_wrong_source_atoms_break_the_permutation(self):
+        _, plan, _, _ = plan_for("interned", SOURCE, TARGET)
+        other = parse_cq("q() :- e(x,y)").body_atoms()
+        violations = verify_plan(plan, source_atoms=other)
+        assert any(v.code == "order-permutation" for v in violations)
+
+    def test_unknown_plan_type_is_reported(self):
+        violations = verify_plan(object())
+        assert [v.code for v in violations] == ["unknown-plan"]
 
     def test_fixed_plan_with_static_filter_is_clean(self):
         fixed = frozenset({Variable("x")})

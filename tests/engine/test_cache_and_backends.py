@@ -3,9 +3,14 @@
 import pytest
 
 from repro.engine import (
+    BACKEND_NAMES,
+    DEFAULT_BACKEND,
     EngineCache,
-    IndexedBackend,
+    GeneratedBackend,
+    InternedBackend,
     NaiveBackend,
+    backend_names,
+    default_cache,
     get_backend,
     get_default_backend,
     query_fingerprint,
@@ -21,31 +26,45 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b = Constant("a"), Constant("b")
 
 
+def fresh_backend() -> InternedBackend:
+    return InternedBackend(cache=EngineCache())
+
+
 class TestEngineCache:
     def test_plan_reuse_counts_as_hit(self):
         cache = EngineCache()
-        source = (Atom("R", (x, y)),)
-        target = (Atom("R", (a, b)),)
-        first = cache.plan(source, target, frozenset())
-        second = cache.plan(source, target, frozenset())
+        first = cache.plan_entry(("source", "target"), object)
+        second = cache.plan_entry(("source", "target"), object)
         assert first is second
         assert cache.plan_stats.hits == 1
         assert cache.plan_stats.misses == 1
 
+    def test_equal_triples_under_fresh_identities_share_one_plan(self):
+        backend = fresh_backend()
+        source = [Atom("R", (x, y))]
+        target = [Atom("R", (a, b))]
+        first = backend.plan(list(source), list(target))
+        second = backend.plan(list(source), list(target))
+        assert first is second
+        assert backend.cache.plan_stats.hits == 1
+        assert backend.cache.plan_stats.misses == 1
+
     def test_different_fixed_sets_get_different_plans(self):
-        cache = EngineCache()
+        backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
-        unfixed = cache.plan(source, target, frozenset())
-        fixed = cache.plan(source, target, frozenset({x}))
+        unfixed = backend.plan(source, target, frozenset())
+        fixed = backend.plan(source, target, frozenset({x}))
         assert unfixed is not fixed
 
     def test_target_index_is_shared_across_sources(self):
-        cache = EngineCache()
+        backend = fresh_backend()
         target = (Atom("R", (a, b)),)
-        plan_one = cache.plan((Atom("R", (x, y)),), target, frozenset())
-        plan_two = cache.plan((Atom("R", (x, x)),), target, frozenset())
-        assert plan_one.index is plan_two.index
+        backend.plan((Atom("R", (x, y)),), target)
+        backend.plan((Atom("R", (x, x)),), target)
+        assert backend.cache.index_stats.misses == 1
+        assert backend.cache.index_stats.hits == 1
+        assert backend.target(target) is backend.target(list(target))
 
     def test_result_memoisation(self):
         cache = EngineCache()
@@ -61,29 +80,28 @@ class TestEngineCache:
         assert cache.result_stats.hits == 1
 
     def test_invalidate_by_target(self):
-        cache = EngineCache()
+        backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
         other = (Atom("R", (b, a)),)
-        cache.plan(source, target, frozenset())
-        cache.plan(source, other, frozenset())
-        dropped = cache.invalidate(target)
-        assert dropped == 2  # the plan and its index
-        cache.plan(source, other, frozenset())
-        assert cache.plan_stats.hits == 1  # the untouched target still hits
+        backend.plan(source, target)
+        backend.plan(source, other)
+        dropped = backend.cache.invalidate(target)
+        assert dropped == 2  # the plan and its interned target
+        backend.plan(list(source), list(other))
+        assert backend.cache.plan_stats.hits == 1  # the untouched target still hits
 
     def test_invalidate_everything(self):
-        cache = EngineCache()
-        cache.plan((Atom("R", (x, y)),), (Atom("R", (a, b)),), frozenset())
-        assert cache.invalidate() >= 1
-        cache.plan((Atom("R", (x, y)),), (Atom("R", (a, b)),), frozenset())
-        assert cache.plan_stats.misses == 2
+        backend = fresh_backend()
+        backend.plan([Atom("R", (x, y))], [Atom("R", (a, b))])
+        assert backend.cache.invalidate() >= 1
+        backend.plan([Atom("R", (x, y))], [Atom("R", (a, b))])
+        assert backend.cache.plan_stats.misses == 2
 
     def test_lru_eviction(self):
         cache = EngineCache(max_plans=2)
-        targets = [(Atom("R", (Constant(f"c{i}"), b)),) for i in range(3)]
-        for target in targets:
-            cache.plan((Atom("R", (x, y)),), target, frozenset())
+        for index in range(3):
+            cache.plan_entry(("source", f"target-{index}"), object)
         assert cache.plan_stats.evictions == 1
 
     def test_describe_reports_all_layers(self):
@@ -123,25 +141,36 @@ class TestQueryFingerprint:
 
 class TestBackendSelection:
     def test_registry(self):
+        # Built-ins first; plugins registered by other tests may follow.
+        assert BACKEND_NAMES == backend_names()[:3] == ("naive", "interned", "generated")
         assert isinstance(get_backend("naive"), NaiveBackend)
-        assert isinstance(get_backend("indexed"), IndexedBackend)
+        assert isinstance(get_backend("interned"), InternedBackend)
+        assert isinstance(get_backend("generated"), GeneratedBackend)
         with pytest.raises(ReproError):
             get_backend("quantum")
+        with pytest.raises(ReproError):
+            get_backend("indexed")
 
-    def test_default_backend_is_indexed(self):
-        assert get_default_backend().name == "indexed"
+    def test_default_backend_is_interned(self):
+        assert DEFAULT_BACKEND == "interned"
+        assert get_default_backend().name == DEFAULT_BACKEND
+
+    def test_default_cache_is_the_default_backends_cache(self):
+        assert default_cache() is get_backend(DEFAULT_BACKEND).cache
+        with use_backend("naive"):
+            assert default_cache() is get_backend(DEFAULT_BACKEND).cache
 
     def test_use_backend_restores_the_previous_default(self):
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == DEFAULT_BACKEND
         with use_backend("naive") as backend:
             assert backend.name == "naive"
             assert get_default_backend().name == "naive"
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == DEFAULT_BACKEND
 
     def test_set_default_backend_returns_previous(self):
         previous = set_default_backend("naive")
         try:
-            assert previous == "indexed"
+            assert previous == DEFAULT_BACKEND
             assert get_default_backend().name == "naive"
         finally:
             set_default_backend(previous)
@@ -155,13 +184,28 @@ class TestBackendAgreement:
     SOURCE = [Atom("R", (x, y)), Atom("R", (y, z))]
     TARGET = [Atom("R", (a, b)), Atom("R", (b, a)), Atom("R", (b, b))]
 
-    def test_iterate_agrees(self):
+    @pytest.mark.parametrize("name", ["interned", "generated"])
+    def test_iterate_agrees(self, name):
         naive = sorted(repr(s) for s in get_backend("naive").iterate(self.SOURCE, self.TARGET))
-        indexed = sorted(repr(s) for s in get_backend("indexed").iterate(self.SOURCE, self.TARGET))
-        assert naive == indexed
+        compiled = sorted(repr(s) for s in get_backend(name).iterate(self.SOURCE, self.TARGET))
+        assert naive == compiled
 
-    def test_count_and_exists_agree(self):
+    @pytest.mark.parametrize("name", ["interned", "generated"])
+    def test_count_and_exists_agree(self, name):
         naive = get_backend("naive")
-        indexed = get_backend("indexed")
-        assert naive.count(self.SOURCE, self.TARGET) == indexed.count(self.SOURCE, self.TARGET)
-        assert naive.exists(self.SOURCE, self.TARGET) == indexed.exists(self.SOURCE, self.TARGET)
+        compiled = get_backend(name)
+        assert naive.count(self.SOURCE, self.TARGET) == compiled.count(self.SOURCE, self.TARGET)
+        assert naive.exists(self.SOURCE, self.TARGET) == compiled.exists(self.SOURCE, self.TARGET)
+
+
+class TestPlanReuseStatistics:
+    @pytest.mark.parametrize("cls", [InternedBackend, GeneratedBackend])
+    def test_identity_memo_hits_count_as_plan_hits(self, cls):
+        # Stable containers are answered by the backend's identity memo;
+        # the plans layer must still report the reuse.
+        backend = cls(cache=EngineCache())
+        source = (Atom("R", (x, y)),)
+        target = (Atom("R", (a, b)),)
+        first = backend.plan(source, target)
+        assert backend.plan(source, target) is first
+        assert (backend.cache.plan_stats.hits, backend.cache.plan_stats.misses) == (1, 1)

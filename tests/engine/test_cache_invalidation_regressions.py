@@ -10,11 +10,15 @@ These pin two behaviours the fuzz runner's stats aggregation relies on:
   everywhere.
 """
 
+import pytest
+
 from repro.engine import (
     EngineCache,
-    IndexedBackend,
+    InternedBackend,
     count_many,
+    create_backend,
     evaluate_bag_many,
+    iterate_homomorphisms,
     merge_snapshots,
     snapshot_delta,
 )
@@ -27,8 +31,8 @@ x, y = Variable("x"), Variable("y")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
-def fresh_backend() -> IndexedBackend:
-    return IndexedBackend(cache=EngineCache())
+def fresh_backend() -> InternedBackend:
+    return InternedBackend(cache=EngineCache())
 
 
 class TestMemoisedResultsSurviveUnrelatedInvalidation:
@@ -80,23 +84,66 @@ class TestMemoisedResultsSurviveUnrelatedInvalidation:
         backend.plan(source, unrelated)
         backend.cache.invalidate(unrelated)
         hits_before = backend.cache.plan_stats.hits
-        backend.plan(source, target)
+        backend.plan(list(source), list(target))  # fresh identities: a plan-layer lookup
         assert backend.cache.plan_stats.hits == hits_before + 1
+
+
+def _solutions(substitutions) -> list[str]:
+    return sorted(repr(substitution) for substitution in substitutions)
+
+
+class TestIdentityPlanMemo:
+    """The identity-keyed plan memo never serves a plan for changed contents."""
+
+    @pytest.mark.parametrize("container", [list, set])
+    def test_mutated_container_on_the_default_backend(self, container):
+        source = [Atom("R", (x, y))]
+        facts = container([Atom("R", (a, b))])
+        naive = create_backend("naive")
+        assert _solutions(iterate_homomorphisms(source, facts)) == _solutions(
+            naive.iterate(source, facts)
+        )
+        if container is list:
+            facts.append(Atom("R", (b, c)))
+        else:
+            facts.add(Atom("R", (b, c)))
+        again = _solutions(iterate_homomorphisms(source, facts))
+        assert again == _solutions(naive.iterate(source, facts))
+        assert len(again) == 2
+
+    @pytest.mark.parametrize("name", ["interned", "generated"])
+    def test_mutated_list_recompiles(self, name):
+        backend = create_backend(name)
+        source = (Atom("R", (x, y)),)
+        facts = [Atom("R", (a, b))]
+        first = backend.plan(source, facts)
+        facts.append(Atom("R", (b, c)))
+        assert backend.plan(source, facts) is not first
+        assert len(list(backend.iterate(source, facts))) == 2
+
+    def test_invalidate_reaches_the_memo(self):
+        backend = fresh_backend()
+        source = (Atom("R", (x, y)),)
+        target = (Atom("R", (a, b)),)
+        first = backend.plan(source, target)
+        assert backend.plan(source, target) is first
+        backend.cache.invalidate(target)
+        misses_before = backend.cache.plan_stats.misses
+        assert backend.plan(source, target) is not first
+        assert backend.cache.plan_stats.misses == misses_before + 1
 
 
 class TestInvalidationCoversEveryLayer:
     """No stale verdict survives an instance mutation — in *any* layer.
 
-    The interned backend stores its entries through the generic
+    The interned backend stores its entries through the
     ``index_entry``/``plan_entry`` hooks and tags its result memos with the
-    backend name; a targeted invalidation must sweep those exactly like the
-    classic entries, and propagate to an attached persistent store
-    (covered in ``test_persist.py``).
+    backend name; a targeted invalidation must sweep all three layers, and
+    propagate to an attached persistent store (covered in
+    ``test_persist.py``).
     """
 
     def test_interned_backend_entries_are_swept(self):
-        from repro.engine.backends import InternedBackend
-
         cache = EngineCache()
         backend = InternedBackend(cache=cache)
         source = (Atom("R", (x, y)),)
@@ -118,7 +165,7 @@ class TestInvalidationCoversEveryLayer:
         assert cache.result_stats.hits == hits_before + 1
 
     def test_exotic_plan_entry_keys_do_not_crash_the_sweep(self):
-        # Regression: the plans-layer predicate indexed key[1] blindly.
+        # Regression: the plans-layer predicate read key[1] blindly.
         cache = EngineCache()
         cache.plan_entry("not-a-tuple", lambda: "entry")
         cache.plan_entry((42,), lambda: "entry")
@@ -133,9 +180,9 @@ class TestStatsCountersUnderBatchApis:
         fixed_list = [{x: a}, {x: b}, {x: c}]
         counts = count_many(source, target, fixed_list, backend=backend)
         assert counts == (2, 0, 0)
-        # One plan compilation, shared across the whole sweep.
+        # One plan compilation, reused by the rest of the sweep.
         assert backend.cache.plan_stats.misses == 1
-        assert backend.cache.plan_stats.hits == 0
+        assert backend.cache.plan_stats.hits == len(fixed_list) - 1
 
     def test_evaluate_bag_many_enumerates_once(self):
         backend = fresh_backend()

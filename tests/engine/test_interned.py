@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import EngineCache, InternedBackend, create_backend, get_backend
+from repro.engine.interned import interned_count
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary, pack_ids
 from repro.exceptions import ReproError
 from repro.relational.atoms import Atom
@@ -126,15 +127,24 @@ class TestPlanShapes:
         first = (plan.static_steps + plan.steps)[0]
         assert first.atom.relation == "S"
 
-    def test_check_fixed_contract_matches_the_indexed_plan(self):
+    def test_check_fixed_contract(self):
+        """A plan executes only under exactly its compiled fixed variables.
+
+        Every compiled fixed variable that occurs in the source must be
+        bound, no other source variable may be pre-bound, and bindings for
+        variables outside the source are carried into the substitutions.
+        """
         backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
         plan = backend.plan(source, target, {x: a})
-        with pytest.raises(ReproError):  # missing compiled fixed binding
+        plan.check_fixed({x: a})
+        with pytest.raises(ReproError, match="expecting fixed bindings for \\['x'\\]"):
             plan.check_fixed({})
-        with pytest.raises(ReproError):  # unplanned source-variable binding
+        with pytest.raises(ReproError, match="without fixed bindings for \\['y'\\]"):
             plan.check_fixed({x: a, y: b})
+        with pytest.raises(ReproError):  # the executor enforces it too
+            interned_count(plan, backend.dictionary, {})
         # Extra bindings for non-source variables ride along.
         [substitution] = list(backend.iterate(source, target, {x: a, z: c}))
         assert substitution[z] == c
@@ -182,11 +192,11 @@ class TestBackendBehaviour:
         # Two backends sharing one cache must not serve each other's
         # count/exists results — the differential oracle depends on it.
         cache = EngineCache()
-        indexed = create_backend("indexed", cache)
+        generated = create_backend("generated", cache)
         interned = create_backend("interned", cache)
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)), Atom("R", (a, c)))
-        assert indexed.count(source, target) == 2
+        assert generated.count(source, target) == 2
         misses_before = cache.result_stats.misses
         assert interned.count(source, target) == 2
         assert cache.result_stats.misses == misses_before + 1  # not a shared hit

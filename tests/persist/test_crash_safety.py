@@ -149,7 +149,7 @@ class TestTwoProcessesOneStore:
             blocker.execute("BEGIN IMMEDIATE")
             blocker.execute(
                 "INSERT INTO entries (layer, key, backend, limits, schema, target, value, created) "
-                "VALUES ('results', 'uncommitted', 'indexed', '', 1, '', x'00', 0)"
+                "VALUES ('results', 'uncommitted', 'interned', '', 1, '', x'00', 0)"
             )
             reader = PersistentCache(store_path)
             assert reader.load("results", ("session", ("committed",))) == "visible"

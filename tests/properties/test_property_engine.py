@@ -2,13 +2,13 @@
 
 Random CQ/instance pairs (and raw atom-set pairs, which also exercise
 variables in the target as containment mappings do) must yield identical
-results from the naive, indexed, interned and generated backends in all
+results from the naive, interned and generated backends in all
 three execution modes, and a memoising cache must never change an answer.
 Together the properties in :class:`TestBackendEquivalence` run 300 random
 cases per suite execution; :class:`TestInternedDecisionEquivalence` adds
 another 300 seeded adversarial decisions proving the interned and
 generated backends are verdict-, certificate- and count-identical to the
-other two across all three decision strategies.
+naive reference across all three decision strategies.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import EngineCache, GeneratedBackend, IndexedBackend, InternedBackend, get_backend
+from repro.engine import EngineCache, GeneratedBackend, InternedBackend, get_backend
 from repro.evaluation.bag_evaluation import evaluate_bag
 from repro.relational.atoms import Atom
 from repro.relational.terms import Constant, Variable
@@ -48,7 +48,7 @@ class TestBackendEquivalence:
     @given(source=atom_sets(3), target=atom_sets(5), fixed=fixed_bindings())
     def test_iterate_agrees_as_multisets(self, source, target, fixed):
         naive = _multiset(get_backend("naive").iterate(source, target, fixed))
-        for name in ("indexed", "interned", "generated"):
+        for name in ("interned", "generated"):
             assert _multiset(get_backend(name).iterate(source, target, fixed)) == naive, name
 
     @settings(max_examples=_EXAMPLES, deadline=None)
@@ -56,7 +56,7 @@ class TestBackendEquivalence:
     def test_count_and_exists_agree(self, source, target, fixed):
         naive = get_backend("naive")
         count = naive.count(source, target, fixed)
-        for name in ("indexed", "interned", "generated"):
+        for name in ("interned", "generated"):
             backend = get_backend(name)
             assert backend.count(source, target, fixed) == count, name
             assert backend.exists(source, target, fixed) == (count > 0), name
@@ -68,30 +68,24 @@ class TestBackendEquivalence:
 
         with use_backend("naive"):
             expected = evaluate_bag(query, bag)
-        for name in ("indexed", "interned", "generated"):
+        for name in ("interned", "generated"):
             with use_backend(name):
                 assert evaluate_bag(query, bag) == expected, name
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(source=atom_sets(3), target=atom_sets(5), fixed=fixed_bindings())
     def test_cached_and_uncached_results_agree(self, source, target, fixed):
-        cold = IndexedBackend(cache=EngineCache())
-        warm = IndexedBackend(cache=EngineCache())
-        expected_count = cold.count(source, target, fixed)
-        expected_exists = cold.exists(source, target, fixed)
-        # First call populates the cache, second call must hit it.
-        assert warm.count(source, target, fixed) == expected_count
-        assert warm.count(source, target, fixed) == expected_count
-        assert warm.exists(source, target, fixed) == expected_exists
-        assert warm.exists(source, target, fixed) == expected_exists
-        assert warm.cache.result_stats.hits >= 2
-        # Same guarantee for the interned backend and its identity memo.
+        naive = get_backend("naive")
+        expected_count = naive.count(source, target, fixed)
+        expected_exists = naive.exists(source, target, fixed)
         for cls in (InternedBackend, GeneratedBackend):
-            warm_integer = cls(cache=EngineCache())
-            assert warm_integer.count(source, target, fixed) == expected_count
-            assert warm_integer.count(source, target, fixed) == expected_count
-            assert warm_integer.exists(source, target, fixed) == expected_exists
-            assert warm_integer.cache.result_stats.hits >= 1
+            warm = cls(cache=EngineCache())
+            # First call populates the cache, second call must hit it.
+            assert warm.count(source, target, fixed) == expected_count
+            assert warm.count(source, target, fixed) == expected_count
+            assert warm.exists(source, target, fixed) == expected_exists
+            assert warm.exists(source, target, fixed) == expected_exists
+            assert warm.cache.result_stats.hits >= 2
 
 
 #: (strategy, backend) grid for the interned decision-equivalence sweep;
@@ -101,13 +95,13 @@ _STRATEGY_GRID = ("most-general", "all-probes", "bounded-guess")
 
 
 class TestInternedDecisionEquivalence:
-    """300 adversarial decisions: all four backends agree, all strategies.
+    """300 adversarial decisions: all three backends agree, all strategies.
 
     Adversarial pairs (shared core, one perturbed multiplicity) are the
     regime where the decision procedures have least slack; each seed is
     decided by every backend under one strategy, rotating through the
     grid, and verdicts, certificates and encoding mapping counts must be
-    identical across the four backends.
+    identical across the three backends.
     """
 
     @pytest.mark.parametrize("chunk", range(10))
@@ -126,7 +120,7 @@ class TestInternedDecisionEquivalence:
             )
             results = {}
             skipped = False
-            for backend in ("naive", "indexed", "interned", "generated"):
+            for backend in ("naive", "interned", "generated"):
                 try:
                     with use_backend(backend):
                         results[backend] = decide_bag_containment(
@@ -141,7 +135,7 @@ class TestInternedDecisionEquivalence:
             verdicts = {name: result.contained for name, result in results.items()}
             assert len(set(verdicts.values())) == 1, f"{context}: {verdicts}"
             reference = results["naive"]
-            for name in ("indexed", "interned", "generated"):
+            for name in ("interned", "generated"):
                 assert results[name].counterexample == reference.counterexample, (
                     f"{context}: {name} certificate diverges"
                 )

@@ -43,3 +43,44 @@ class TestFormatting:
     def test_format_answer_bag(self):
         rendered = format_answer_bag([((Constant("c1"), Constant("c2")), 10)])
         assert rendered == "{(c1, c2)^10}"
+
+
+class TestParserRoundTrip:
+    """``parse_cq(format_query(q)) == q`` for every query the workloads build."""
+
+    @staticmethod
+    def family_queries():
+        from repro.workloads import scale
+
+        pairs = [
+            *scale.star_pair_family(12, seed=1),
+            *scale.chain_pair_family(12, seed=1),
+            *scale.acyclic_pair_family(12, seed=1),
+            *(pair for _, pair in scale.mixed_pairs(24, seed=1)),
+        ]
+        return [query for pair in pairs for query in pair]
+
+    def test_scale_families_round_trip(self):
+        queries = self.family_queries()
+        assert len(queries) == 120
+        for query in queries:
+            text = format_query(query)
+            assert parse_cq(text) == query, text
+
+    def test_star_centre_variables_are_marked(self):
+        from repro.workloads import scale
+
+        containee, _ = scale.star_pair_family(3, seed=1)[0]
+        text = format_query(containee)
+        assert "?c" in text
+        assert parse_cq(text) == containee
+
+    def test_variable_prefix_names_stay_bare(self):
+        atom = Atom("R", (Variable("x1"), Variable("Y"), Variable("c"), Variable("l0")))
+        assert format_atom(atom) == "R(x1, Y, ?c, ?l0)"
+
+    def test_constants_that_would_read_as_variables_are_quoted(self):
+        atom = Atom("R", (Constant("x"), Constant("a"), Constant("7"), Constant(7)))
+        assert format_atom(atom) == "R('x', a, '7', 7)"
+        query = parse_cq("q(x) <- R(x, 'y', \"it's\", '7', 7)")
+        assert parse_cq(format_query(query)) == query

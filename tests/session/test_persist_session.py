@@ -93,15 +93,15 @@ class TestSessionWarmStart:
     def test_backend_change_invalidates_silently(self, tmp_path):
         store = tmp_path / "store.db"
         containee, containing = parse_cq(CONTAINEE), parse_cq(CONTAINING)
-        indexed = Session(backend="indexed", persist_path=store)
-        indexed_outcome = indexed.decide(containee, containing)
-        indexed.close()
-
         interned = Session(backend="interned", persist_path=store)
         interned_outcome = interned.decide(containee, containing)
-        assert interned.persistent.stats.hits == 0
-        assert interned_outcome.verdict == indexed_outcome.verdict
         interned.close()
+
+        generated = Session(backend="generated", persist_path=store)
+        generated_outcome = generated.decide(containee, containing)
+        assert generated.persistent.stats.hits == 0
+        assert generated_outcome.verdict == interned_outcome.verdict
+        generated.close()
 
     def test_close_detaches_and_session_stays_usable(self, tmp_path):
         session = Session(persist_path=tmp_path / "store.db")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import EngineCache, get_default_backend
+from repro.engine import DEFAULT_BACKEND, EngineCache, get_default_backend, use_backend
 from repro.engine.backends import Backend, NaiveBackend
 from repro.exceptions import SessionError
 from repro.queries.parser import parse_cq, parse_ucq
@@ -238,7 +238,26 @@ class TestIsolationAndContext:
             assert current_session() is session
             assert get_default_backend() is session.backend
         assert current_session() is None
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == DEFAULT_BACKEND
+
+    def test_every_entry_point_defaults_to_the_production_backend(self):
+        import threading
+
+        from repro.cli import build_parser
+        from repro.session import SessionSpec
+
+        assert DEFAULT_BACKEND == "interned"
+        assert Session().backend_name == DEFAULT_BACKEND
+        assert Session().backend.name == DEFAULT_BACKEND
+        assert SessionSpec().backend == DEFAULT_BACKEND
+        args = build_parser().parse_args(["decide", "q(x) <- R(x)", "p(x) <- R(x)"])
+        assert args.engine_backend == DEFAULT_BACKEND
+        seen: list[str] = []
+        with use_backend("naive"):
+            thread = threading.Thread(target=lambda: seen.append(get_default_backend().name))
+            thread.start()
+            thread.join(timeout=10)
+        assert seen == [DEFAULT_BACKEND]
 
     def test_nested_sessions_restore_in_order(self):
         outer, inner = Session(name="outer"), Session(name="inner", backend="naive")
@@ -274,7 +293,7 @@ class TestRegistries:
 
     def test_register_backend_rejects_duplicates(self):
         with pytest.raises(Exception):
-            register_backend("indexed", lambda cache: NaiveBackend())
+            register_backend("interned", lambda cache: NaiveBackend())
 
     def test_register_strategy_is_selectable_by_sessions(self, q1, q2):
         from repro.core.decision import decide_via_most_general_probe

@@ -127,15 +127,19 @@ class TestEngineFlags:
         ]
         assert main(["--engine-backend", "naive"] + args) == 0
         naive_out = capsys.readouterr().out
-        assert main(["--engine-backend", "indexed"] + args) == 0
-        indexed_out = capsys.readouterr().out
-        assert naive_out == indexed_out
+        assert main(["--engine-backend", "interned"] + args) == 0
+        interned_out = capsys.readouterr().out
+        assert naive_out == interned_out
 
     def test_backend_selection_is_restored_after_the_command(self):
-        from repro.engine import get_default_backend
+        from repro.engine import DEFAULT_BACKEND, get_default_backend
 
         main(["--engine-backend", "naive", "set-decide", "q1(x) <- R(x, x)", "q2(x) <- R(x, y)"])
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == DEFAULT_BACKEND
+
+    def test_removed_indexed_backend_is_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--engine-backend", "indexed", "decide", "a", "b"])
 
     def test_engine_stats_are_printed(self, capsys):
         code = main(["--engine-stats", "evaluate", "q(x) <- R(x, y)", "R(a,b)=2"])
